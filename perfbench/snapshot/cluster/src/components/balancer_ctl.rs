@@ -1,0 +1,329 @@
+//! Dispatch and the `LbTick` reconfiguration loop.
+
+use tashkent_core::{LoadBalancer, ReconfigAction, ReplicaId, ResourceLoad, WorkingSetEstimator};
+use tashkent_engine::TxnTypeId;
+use tashkent_replica::UpdateFilter;
+use tashkent_sim::{EventQueue, SimTime};
+use tashkent_workloads::{Mix, Workload};
+
+use crate::config::{ClusterConfig, PolicySpec};
+use crate::events::Ev;
+
+/// Interval between balancer rebalance ticks.
+const LB_TICK_US: u64 = 1_000_000;
+
+/// What the balancer's failure detector currently believes about a replica.
+///
+/// Driven purely by heartbeat responses — never by oracle crash knowledge:
+///
+/// ```text
+///        misses ≥ suspect_misses          misses ≥ dead_misses
+///  Live ───────────────────────▶ Suspected ─────────────────▶ Dead
+///   ▲                               │                          │
+///   └───────── heartbeat answered ──┴──────────────────────────┘
+/// ```
+///
+/// `Suspected` removes the replica from dispatch and retries its in-flight
+/// transactions on survivors, but defers re-replication; only `Dead`
+/// triggers backfill. A replica that answers again from either state
+/// returns to `Live` (a *trust* transition) — a false suspicion costs a
+/// filter-widen, not a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ReplicaHealth {
+    /// Answering heartbeats; eligible for dispatch.
+    #[default]
+    Live,
+    /// Missed `suspect_misses` consecutive heartbeats: out of dispatch,
+    /// in-flight work retried elsewhere, re-replication deferred.
+    Suspected,
+    /// Missed `dead_misses` consecutive heartbeats: confirmed dead,
+    /// re-replication of under-copied groups proceeds.
+    Dead,
+}
+
+/// One state-machine transition produced by a heartbeat round, in replica
+/// order (deterministic: the round probes replicas 0..n).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HealthTransition {
+    /// A heartbeat went unanswered but the replica is not (yet) suspected.
+    Miss {
+        /// The unresponsive replica.
+        replica: usize,
+        /// Consecutive misses so far.
+        misses: u32,
+    },
+    /// The replica crossed the suspicion threshold this round.
+    Suspected {
+        /// The newly suspected replica.
+        replica: usize,
+        /// Consecutive misses at the transition.
+        misses: u32,
+    },
+    /// The replica crossed the dead threshold this round.
+    Dead {
+        /// The replica confirmed dead.
+        replica: usize,
+    },
+    /// A non-`Live` replica answered again.
+    Trusted {
+        /// The replica restored to `Live`.
+        replica: usize,
+        /// Whether it had been declared `Dead` (the caller then shrinks
+        /// over-replicated groups; a mere suspicion needs no placement
+        /// work at all).
+        was_dead: bool,
+    },
+}
+
+/// Wraps the [`LoadBalancer`]: dispatch decisions, load reports, the
+/// periodic reconfiguration tick that applies replica moves and installs
+/// update filters on the affected nodes, and — when the heartbeat detector
+/// is enabled — the per-replica `Live → Suspected → Dead` accrual state
+/// machine.
+pub struct BalancerCtl {
+    lb: LoadBalancer,
+    /// Detector belief per replica (all `Live` until heartbeats miss).
+    health: Vec<ReplicaHealth>,
+    /// Consecutive missed heartbeats per replica.
+    misses: Vec<u32>,
+    suspect_misses: u32,
+    dead_misses: u32,
+}
+
+impl BalancerCtl {
+    /// Builds the balancer for a config, estimating working sets for MALB
+    /// from the active mix's transaction types via `EXPLAIN` + catalog
+    /// metadata — exactly the paper's information channel (§4.2.2).
+    pub fn build(config: &ClusterConfig, workload: &Workload, mix: &Mix) -> Self {
+        let lb = match config.policy {
+            PolicySpec::RoundRobin => LoadBalancer::round_robin(config.replicas),
+            PolicySpec::LeastConnections => LoadBalancer::least_connections(config.replicas),
+            PolicySpec::Lard => LoadBalancer::lard(config.replicas, config.lard),
+            PolicySpec::Malb { .. } => {
+                let estimator = WorkingSetEstimator::new(&workload.catalog);
+                let sets = mix
+                    .active_types()
+                    .iter()
+                    .map(|t| estimator.estimate(*t, &workload.explain(*t)))
+                    .collect();
+                let malb_cfg = config.malb_config().expect("policy is MALB");
+                LoadBalancer::malb(config.replicas, sets, malb_cfg)
+            }
+        };
+        BalancerCtl {
+            lb,
+            health: vec![ReplicaHealth::Live; config.replicas],
+            misses: vec![0; config.replicas],
+            // dead_misses must exceed suspect_misses for the deferral
+            // window between suspicion and re-replication to exist.
+            suspect_misses: config.suspect_misses.max(1),
+            dead_misses: config.dead_misses.max(config.suspect_misses.max(1) + 1),
+        }
+    }
+
+    /// The wrapped balancer (tests and metrics).
+    pub fn inner(&self) -> &LoadBalancer {
+        &self.lb
+    }
+
+    /// Picks the replica for a new transaction of `txn_type`.
+    pub fn dispatch(&mut self, txn_type: TxnTypeId) -> ReplicaId {
+        self.lb.dispatch(txn_type)
+    }
+
+    /// Installs (or clears) partial-replication eligibility masks: dispatch
+    /// then routes each transaction type only to replicas holding its whole
+    /// relation group, and MALB allocation weighs only resident replicas.
+    pub fn set_type_eligibility(&mut self, masks: Option<Vec<Vec<bool>>>) {
+        self.lb.set_type_eligibility(masks)
+    }
+
+    /// Notes a completion on `replica` (connection counting).
+    pub fn complete(&mut self, replica: ReplicaId) {
+        self.lb.complete(replica)
+    }
+
+    /// Feeds a load-daemon sample into the balancer.
+    pub fn report(&mut self, replica: ReplicaId, load: ResourceLoad) {
+        self.lb.report(replica, load)
+    }
+
+    /// Freezes the allocation (static-configuration baseline).
+    pub fn freeze(&mut self) {
+        self.lb.freeze()
+    }
+
+    /// Marks a replica dead: dispatch and MALB allocation route around it.
+    pub fn replica_failed(&mut self, replica: ReplicaId) {
+        self.lb.replica_failed(replica)
+    }
+
+    /// Marks a replica alive again after recovery; it rejoins dispatch.
+    pub fn replica_recovered(&mut self, replica: ReplicaId) {
+        self.lb.replica_recovered(replica)
+    }
+
+    /// The detector's current belief about `replica` (always `Live` when
+    /// the detector is disabled — no heartbeat rounds ever run).
+    pub fn health(&self, replica: usize) -> ReplicaHealth {
+        self.health[replica]
+    }
+
+    /// Feeds one heartbeat round into the accrual counters: `reachable[r]`
+    /// is whether replica `r`'s ping was answered (physically up, no
+    /// partition on the control link, not mid-replay). Returns the state
+    /// transitions in replica order; the caller applies their cluster-side
+    /// consequences (eligibility masks, orphan sweeps, re-replication) so
+    /// that — with the detector on — those change *only* through here.
+    pub fn observe_heartbeats(&mut self, reachable: &[bool]) -> Vec<HealthTransition> {
+        let mut out = Vec::new();
+        for (r, &ok) in reachable.iter().enumerate() {
+            if ok {
+                self.misses[r] = 0;
+                if self.health[r] != ReplicaHealth::Live {
+                    out.push(HealthTransition::Trusted {
+                        replica: r,
+                        was_dead: self.health[r] == ReplicaHealth::Dead,
+                    });
+                    self.health[r] = ReplicaHealth::Live;
+                }
+            } else {
+                self.misses[r] = self.misses[r].saturating_add(1);
+                let m = self.misses[r];
+                match self.health[r] {
+                    ReplicaHealth::Live if m >= self.suspect_misses => {
+                        self.health[r] = ReplicaHealth::Suspected;
+                        out.push(HealthTransition::Suspected {
+                            replica: r,
+                            misses: m,
+                        });
+                    }
+                    ReplicaHealth::Suspected if m >= self.dead_misses => {
+                        self.health[r] = ReplicaHealth::Dead;
+                        out.push(HealthTransition::Dead { replica: r });
+                    }
+                    ReplicaHealth::Dead => {}
+                    _ => out.push(HealthTransition::Miss {
+                        replica: r,
+                        misses: m,
+                    }),
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs one rebalance tick and schedules the next one; returns the
+    /// update filters the reconfiguration wants installed, for the cluster
+    /// state to apply to the affected nodes, and the number of MALB replica
+    /// moves the tick performed (for the trace's `lb` instant events).
+    pub fn on_tick(
+        &mut self,
+        now: SimTime,
+        queue: &mut EventQueue<Ev>,
+    ) -> (Vec<(ReplicaId, UpdateFilter)>, usize) {
+        let mut filters = Vec::new();
+        let mut moves = 0;
+        for action in self.lb.tick(now) {
+            match action {
+                ReconfigAction::SetFilter { replica, tables } => {
+                    let filter = match tables {
+                        Some(t) => UpdateFilter::only(t),
+                        None => UpdateFilter::all(),
+                    };
+                    filters.push((replica, filter));
+                }
+                ReconfigAction::Moved { .. } => moves += 1,
+            }
+        }
+        queue.schedule(now + LB_TICK_US, Ev::LbTick);
+        (filters, moves)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn detector(replicas: usize, suspect: u32, dead: u32) -> BalancerCtl {
+        BalancerCtl {
+            lb: LoadBalancer::round_robin(replicas),
+            health: vec![ReplicaHealth::Live; replicas],
+            misses: vec![0; replicas],
+            suspect_misses: suspect,
+            dead_misses: dead,
+        }
+    }
+
+    #[test]
+    fn accrual_walks_live_suspected_dead() {
+        let mut d = detector(2, 2, 4);
+        let down = [false, true];
+        assert_eq!(
+            d.observe_heartbeats(&down),
+            vec![HealthTransition::Miss {
+                replica: 0,
+                misses: 1
+            }]
+        );
+        assert_eq!(
+            d.observe_heartbeats(&down),
+            vec![HealthTransition::Suspected {
+                replica: 0,
+                misses: 2
+            }]
+        );
+        assert_eq!(d.health(0), ReplicaHealth::Suspected);
+        // Below the dead threshold a suspected replica keeps missing.
+        assert_eq!(
+            d.observe_heartbeats(&down),
+            vec![HealthTransition::Miss {
+                replica: 0,
+                misses: 3
+            }]
+        );
+        assert_eq!(
+            d.observe_heartbeats(&down),
+            vec![HealthTransition::Dead { replica: 0 }]
+        );
+        assert_eq!(d.health(0), ReplicaHealth::Dead);
+        // Dead stays dead quietly until it answers again.
+        assert_eq!(d.observe_heartbeats(&down), vec![]);
+        assert_eq!(d.health(1), ReplicaHealth::Live, "bystander untouched");
+    }
+
+    #[test]
+    fn answering_restores_trust_from_either_state() {
+        let mut d = detector(1, 1, 2);
+        d.observe_heartbeats(&[false]);
+        assert_eq!(d.health(0), ReplicaHealth::Suspected);
+        // A false suspicion: one answered ping restores Live and reports
+        // that no re-replication ever started (was_dead = false).
+        assert_eq!(
+            d.observe_heartbeats(&[true]),
+            vec![HealthTransition::Trusted {
+                replica: 0,
+                was_dead: false
+            }]
+        );
+        d.observe_heartbeats(&[false]);
+        d.observe_heartbeats(&[false]);
+        assert_eq!(d.health(0), ReplicaHealth::Dead);
+        assert_eq!(
+            d.observe_heartbeats(&[true]),
+            vec![HealthTransition::Trusted {
+                replica: 0,
+                was_dead: true
+            }]
+        );
+        assert_eq!(d.health(0), ReplicaHealth::Live);
+        // Counters reset: the next miss starts the accrual from scratch.
+        assert_eq!(
+            d.observe_heartbeats(&[false]),
+            vec![HealthTransition::Suspected {
+                replica: 0,
+                misses: 1
+            }]
+        );
+    }
+}

@@ -1,0 +1,25 @@
+//! Per-component event handlers.
+//!
+//! The cluster event loop ([`crate::world::World`]) owns three component
+//! handlers and reduces every [`crate::events::Ev`] arm to a thin delegate:
+//!
+//! * [`ClusterNode`] — a replica node inside the cluster: admission,
+//!   execution stepping, slot recycling, and periodic maintenance;
+//! * [`CertifierLink`] — the round-trip to the certifier: certification,
+//!   the commit/abort response path, and propagation pulls;
+//! * [`BalancerCtl`] — dispatch plus the `LbTick` reconfiguration loop that
+//!   applies re-allocations and installs update filters.
+//!
+//! Components own their state and translate outcomes into scheduled events;
+//! the `World` keeps only cross-cutting bookkeeping (clients, transaction
+//! metadata, metrics). This is the seam future runtimes (async, threaded,
+//! partial replication) plug into: a different driver can own the same
+//! components and schedule their events differently.
+
+mod balancer_ctl;
+mod certifier_link;
+mod node;
+
+pub use balancer_ctl::{BalancerCtl, HealthTransition, ReplicaHealth};
+pub use certifier_link::CertifierLink;
+pub use node::ClusterNode;

@@ -1,0 +1,472 @@
+//! Cluster configuration.
+
+use tashkent_certifier::CertifierParams;
+use tashkent_core::{EstimationMode, LardConfig, MalbConfig};
+use tashkent_replica::ReplicaConfig;
+use tashkent_sim::SimTime;
+use tashkent_storage::{DiskParams, WriterConfig, PAGE_SIZE};
+
+use crate::trace::TraceConfig;
+
+/// How the database is placed across the cluster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlacementSpec {
+    /// Every replica stores the full database (the paper's deployment).
+    #[default]
+    Full,
+    /// Partial replication (Sutra & Shapiro 2008 direction): each relation
+    /// group lives on a holder subset of `min_copies` replicas; dispatch
+    /// routes transactions only to holders and the certifier propagates
+    /// writeset pages only to holders (non-holders get a version tick).
+    /// `min_copies >= replicas` degenerates to full replication and
+    /// reproduces `Full` results bit for bit.
+    Partial {
+        /// Minimum up-to-date copies per relation group (clamped to
+        /// `[1, replicas]`).
+        min_copies: usize,
+    },
+}
+
+impl PlacementSpec {
+    /// Label for tables and logs.
+    pub fn label(&self) -> String {
+        match self {
+            PlacementSpec::Full => "full".into(),
+            PlacementSpec::Partial { min_copies } => format!("partial(min_copies={min_copies})"),
+        }
+    }
+}
+
+/// How certification is organized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CertifierSharding {
+    /// One certifier group establishes the single global total order (the
+    /// paper's deployment).
+    #[default]
+    Unified,
+    /// Sharded certification (Sutra & Shapiro direction): each relation
+    /// group from the [`crate::placement::CertMap`] is certified by its own
+    /// leader+backups group with a group-local order; cross-group
+    /// transactions run an atomic-commitment round (vote/decide) among the
+    /// touched groups, paying extra LAN hops. `max_groups = 1` degenerates
+    /// to a single group and reproduces `Unified` results bit for bit.
+    Sharded {
+        /// Upper bound on certifier groups (clamped to
+        /// `[1, MAX_CERT_GROUPS]`).
+        max_groups: usize,
+    },
+}
+
+impl CertifierSharding {
+    /// Label for tables and logs.
+    pub fn label(&self) -> String {
+        match self {
+            CertifierSharding::Unified => "unified".into(),
+            CertifierSharding::Sharded { max_groups } => {
+                format!("sharded(max_groups={max_groups})")
+            }
+        }
+    }
+}
+
+/// Which load-balancing policy the cluster runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PolicySpec {
+    /// Round-robin dispatch.
+    RoundRobin,
+    /// Least outstanding connections (§4.3 baseline).
+    LeastConnections,
+    /// Locality-aware request distribution (§4.3 baseline).
+    Lard,
+    /// Memory-aware load balancing (§2) with the given estimation mode and
+    /// optionally update filtering (§3).
+    Malb {
+        /// Working-set information used for packing.
+        mode: EstimationMode,
+        /// Enable update filtering once allocation stabilizes.
+        update_filtering: bool,
+    },
+}
+
+impl PolicySpec {
+    /// The paper's headline configuration: MALB-SC without filtering.
+    pub fn malb_sc() -> Self {
+        PolicySpec::Malb {
+            mode: EstimationMode::SizeContent,
+            update_filtering: false,
+        }
+    }
+
+    /// MALB-SC plus update filtering.
+    pub fn malb_sc_uf() -> Self {
+        PolicySpec::Malb {
+            mode: EstimationMode::SizeContent,
+            update_filtering: true,
+        }
+    }
+
+    /// Label matching the paper's figures.
+    pub fn label(&self) -> String {
+        match self {
+            PolicySpec::RoundRobin => "RoundRobin".into(),
+            PolicySpec::LeastConnections => "LeastConnections".into(),
+            PolicySpec::Lard => "LARD".into(),
+            PolicySpec::Malb {
+                mode,
+                update_filtering,
+            } => {
+                let base = match mode {
+                    EstimationMode::Size => "MALB-S",
+                    EstimationMode::SizeContent => "MALB-SC",
+                    EstimationMode::SizeContentAccessPattern => "MALB-SCAP",
+                };
+                if *update_filtering {
+                    format!("{base}+UF")
+                } else {
+                    base.into()
+                }
+            }
+        }
+    }
+}
+
+/// Full configuration of a simulated cluster.
+#[derive(Debug, Clone)]
+pub struct ClusterConfig {
+    /// Number of database replicas (paper default: 16).
+    pub replicas: usize,
+    /// Physical RAM per replica in bytes (256 MB / 512 MB / 1024 MB in the
+    /// evaluation).
+    pub ram_bytes: u64,
+    /// Memory not available to the database: OS, PostgreSQL processes,
+    /// proxy, daemons (paper: 70 MB, §4.4).
+    pub overhead_bytes: u64,
+    /// Load-balancing policy.
+    pub policy: PolicySpec,
+    /// Total number of closed-loop clients.
+    pub clients: usize,
+    /// Mean client think time, in µs.
+    pub think_mean_us: u64,
+    /// One-way LAN latency between any two components, in µs.
+    pub lan_hop_us: u64,
+    /// Disk model parameters.
+    pub disk: DiskParams,
+    /// Gatekeeper multiprogramming limit per replica.
+    pub mpl: usize,
+    /// Background-writer policy.
+    pub writer: WriterConfig,
+    /// Certifier service parameters.
+    pub certifier: CertifierParams,
+    /// LARD thresholds (used when `policy == Lard`).
+    pub lard: LardConfig,
+    /// MALB rebalance period.
+    pub rebalance_period: SimTime,
+    /// Rounds of allocation stability before filters install.
+    pub stable_rounds_for_filter: u32,
+    /// Minimum up-to-date copies per transaction group for §3 *update
+    /// filtering*'s standby lists (a MALB knob; every replica still stores
+    /// the full database). Distinct from — and unrelated to — the
+    /// `min_copies` inside [`PlacementSpec::Partial`], which governs the
+    /// partial-replication durability constraint; under non-degenerate
+    /// partial placement the placement filter is authoritative and this
+    /// knob's filter lists are not installed.
+    pub min_copies: usize,
+    /// Database placement: full replication, or partial replication with a
+    /// per-relation-group `min_copies` durability constraint (see
+    /// [`PlacementSpec::Partial`]; not the update-filtering `min_copies`
+    /// field above).
+    pub placement: PlacementSpec,
+    /// Certification organization: one unified total order, or per-group
+    /// certifier shards with atomic commitment for cross-group
+    /// transactions (see [`CertifierSharding`]).
+    pub certifier_sharding: CertifierSharding,
+    /// Bandwidth cap on placement backfill (re-replication and migration),
+    /// in bytes per second of simulated time. `0` means uncapped: the whole
+    /// backfill is charged through the target's CPU/disk models at the
+    /// instant it starts (the historical synchronous behaviour). A non-zero
+    /// cap stages the copy through `Ev::BackfillChunk` events so migration
+    /// I/O competes with foreground propagation over simulated time.
+    pub backfill_bytes_per_sec: u64,
+    /// Period of the skew-driven migration tick (`Ev::RebalanceTick`) under
+    /// partial replication: each tick may migrate the hottest relation
+    /// group from its most-loaded holder toward the least-loaded
+    /// non-holder. `None` (the default) disables migration entirely.
+    pub migration_period: Option<SimTime>,
+    /// Overrides the allocator's merge threshold (e.g. `Some(0.0)` disables
+    /// group merging — the §5.3 ablation).
+    pub merge_threshold_override: Option<f64>,
+    /// Response-time histogram bucket width, in seconds (default 50 ms,
+    /// matching the historical hardcoded `Histogram::new(0.050, 400)`).
+    pub resp_hist_bucket_s: f64,
+    /// Response-time histogram bucket count (default 400, saturating at
+    /// `bucket_s * buckets` = 20 s with the defaults).
+    pub resp_hist_buckets: usize,
+    /// Run tracing: disabled by default; set an exporter path (directly or
+    /// via `TASHKENT_TRACE` / `ScenarioKnobs::with_trace`) to record the
+    /// full deterministic event trace. See [`crate::trace`].
+    pub trace: TraceConfig,
+    /// Heartbeat period of the balancer's failure detector, in µs. `0` (the
+    /// default) disables detection entirely: fault events remain omniscient
+    /// (`Ev::ReplicaCrash` tells the balancer and triggers re-replication
+    /// synchronously, exactly the pre-detector behaviour). A non-zero period
+    /// makes the balancer ping every replica each period — probes occupy the
+    /// certifier-side NIC and pay LAN hops — and drive the per-replica
+    /// `Live → Suspected → Dead` accrual state machine; dispatch eligibility
+    /// then changes *only* through that state machine.
+    pub heartbeat_period_us: u64,
+    /// Consecutive missed heartbeats before a replica is *Suspected*
+    /// (removed from dispatch, in-flight transactions retried on survivors,
+    /// but no re-replication yet).
+    pub suspect_misses: u32,
+    /// Consecutive missed heartbeats before a suspected replica is declared
+    /// *Dead* (re-replication of under-copied groups begins). Must exceed
+    /// `suspect_misses`.
+    pub dead_misses: u32,
+    /// Checkpoint lag `k`: a crashed replica recovers at `applied − k` and
+    /// replays the redo window from the certifier log before rejoining.
+    /// `0` (the default) recovers from a perfectly fresh log position (the
+    /// historical behaviour).
+    pub checkpoint_lag: u64,
+    /// Per-request client timeout, in µs. `0` (the default) waits forever.
+    /// A non-zero timeout abandons the request on the (possibly dead)
+    /// replica and retries it after a capped exponential backoff through
+    /// the usual `Ev::TxnRetry` path.
+    pub client_timeout_us: u64,
+    /// Base of the client retry backoff (doubles per retry).
+    pub client_backoff_base_us: u64,
+    /// Cap on the client retry backoff.
+    pub client_backoff_cap_us: u64,
+    /// RNG seed (runs are bit-reproducible per seed).
+    pub seed: u64,
+}
+
+impl ClusterConfig {
+    /// The paper's default testbed shape: 16 replicas, 512 MB RAM, 70 MB
+    /// overhead, 2007-era disk, LeastConnections.
+    pub fn paper_default() -> Self {
+        ClusterConfig {
+            replicas: 16,
+            ram_bytes: 512 * 1024 * 1024,
+            overhead_bytes: 70 * 1024 * 1024,
+            policy: PolicySpec::LeastConnections,
+            clients: 112,
+            think_mean_us: 500_000,
+            lan_hop_us: 150,
+            disk: DiskParams::default(),
+            mpl: 8,
+            writer: WriterConfig::default(),
+            certifier: CertifierParams::default(),
+            lard: LardConfig::default(),
+            rebalance_period: SimTime::from_secs(5),
+            stable_rounds_for_filter: 10,
+            min_copies: 2,
+            placement: PlacementSpec::Full,
+            certifier_sharding: CertifierSharding::Unified,
+            backfill_bytes_per_sec: 0,
+            migration_period: None,
+            merge_threshold_override: None,
+            resp_hist_bucket_s: 0.050,
+            resp_hist_buckets: 400,
+            trace: TraceConfig::default(),
+            heartbeat_period_us: 0,
+            suspect_misses: 2,
+            dead_misses: 5,
+            checkpoint_lag: 0,
+            client_timeout_us: 0,
+            client_backoff_base_us: 100_000,
+            client_backoff_cap_us: 2_000_000,
+            seed: 42,
+        }
+    }
+
+    /// Memory available to the buffer pool per replica.
+    pub fn pool_bytes(&self) -> u64 {
+        self.ram_bytes
+            .saturating_sub(self.overhead_bytes)
+            .max(PAGE_SIZE)
+    }
+
+    /// The capacity the bin-packing algorithm sees, in pages (§4.4: RAM
+    /// minus 70 MB).
+    pub fn capacity_pages(&self) -> u64 {
+        self.pool_bytes() / PAGE_SIZE
+    }
+
+    /// Replica-level configuration derived from the cluster config.
+    pub fn replica_config(&self) -> ReplicaConfig {
+        ReplicaConfig {
+            mem_bytes: self.pool_bytes(),
+            disk: self.disk,
+            cpu_quantum_us: 5_000,
+            mpl: self.mpl,
+            writer: self.writer,
+            apply_item_us: 600,
+            apply_base_us: 100,
+        }
+    }
+
+    /// MALB configuration derived from the cluster config (when the policy
+    /// is a MALB variant).
+    pub fn malb_config(&self) -> Option<MalbConfig> {
+        match self.policy {
+            PolicySpec::Malb {
+                mode,
+                update_filtering,
+            } => {
+                let mut cfg = MalbConfig::paper_default(mode, self.capacity_pages());
+                cfg.rebalance_period = self.rebalance_period;
+                cfg.update_filtering = update_filtering;
+                cfg.stable_rounds_for_filter = self.stable_rounds_for_filter;
+                cfg.min_copies = self.min_copies.min(self.replicas);
+                if let Some(t) = self.merge_threshold_override {
+                    cfg.allocation.merge_threshold = t;
+                }
+                Some(cfg)
+            }
+            _ => None,
+        }
+    }
+
+    /// Convenience: set RAM in megabytes.
+    pub fn with_ram_mb(mut self, mb: u64) -> Self {
+        self.ram_bytes = mb * 1024 * 1024;
+        self
+    }
+
+    /// Convenience: set the policy.
+    pub fn with_policy(mut self, policy: PolicySpec) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Convenience: set total clients.
+    pub fn with_clients(mut self, clients: usize) -> Self {
+        self.clients = clients;
+        self
+    }
+
+    /// Convenience: set the certification organization.
+    pub fn with_certifier_sharding(mut self, sharding: CertifierSharding) -> Self {
+        self.certifier_sharding = sharding;
+        self
+    }
+
+    /// Convenience: single-replica (standalone) variant with proportionally
+    /// fewer clients.
+    pub fn standalone(mut self, clients: usize) -> Self {
+        self.replicas = 1;
+        self.clients = clients;
+        self
+    }
+
+    /// Convenience: enable the heartbeat failure detector.
+    pub fn with_heartbeat(mut self, period_us: u64) -> Self {
+        self.heartbeat_period_us = period_us;
+        self
+    }
+
+    /// Convenience: set the checkpoint lag `k`.
+    pub fn with_checkpoint_lag(mut self, k: u64) -> Self {
+        self.checkpoint_lag = k;
+        self
+    }
+
+    /// Convenience: enable the per-request client timeout.
+    pub fn with_client_timeout(mut self, timeout_us: u64) -> Self {
+        self.client_timeout_us = timeout_us;
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paper_default_matches_testbed() {
+        let c = ClusterConfig::paper_default();
+        assert_eq!(c.replicas, 16);
+        assert_eq!(c.ram_bytes, 512 * 1024 * 1024);
+        assert_eq!(c.overhead_bytes, 70 * 1024 * 1024);
+    }
+
+    #[test]
+    fn tracing_off_and_histogram_bounds_default() {
+        let c = ClusterConfig::paper_default();
+        assert!(!c.trace.enabled(), "tracing must be opt-in");
+        assert_eq!(c.resp_hist_bucket_s, 0.050);
+        assert_eq!(c.resp_hist_buckets, 400);
+    }
+
+    #[test]
+    fn detection_and_recovery_knobs_default_off() {
+        // The defaults must reproduce the pre-detector fault model bit for
+        // bit: no heartbeats, fresh-log recovery, clients wait forever.
+        let c = ClusterConfig::paper_default();
+        assert_eq!(c.heartbeat_period_us, 0, "detector must be opt-in");
+        assert_eq!(c.checkpoint_lag, 0, "fresh-log recovery by default");
+        assert_eq!(c.client_timeout_us, 0, "clients wait forever by default");
+        assert!(c.dead_misses > c.suspect_misses);
+        assert!(c.client_backoff_cap_us >= c.client_backoff_base_us);
+        let d = c
+            .with_heartbeat(500_000)
+            .with_checkpoint_lag(32)
+            .with_client_timeout(3_000_000);
+        assert_eq!(d.heartbeat_period_us, 500_000);
+        assert_eq!(d.checkpoint_lag, 32);
+        assert_eq!(d.client_timeout_us, 3_000_000);
+    }
+
+    #[test]
+    fn capacity_subtracts_overhead() {
+        let c = ClusterConfig::paper_default();
+        // (512 − 70) MB in 8 KB pages = 56,576.
+        assert_eq!(c.capacity_pages(), 56_576);
+    }
+
+    #[test]
+    fn tiny_ram_keeps_one_page() {
+        let c = ClusterConfig::paper_default().with_ram_mb(1);
+        assert!(c.pool_bytes() >= PAGE_SIZE);
+    }
+
+    #[test]
+    fn labels_match_paper() {
+        assert_eq!(PolicySpec::malb_sc().label(), "MALB-SC");
+        assert_eq!(PolicySpec::malb_sc_uf().label(), "MALB-SC+UF");
+        assert_eq!(PolicySpec::Lard.label(), "LARD");
+        assert_eq!(CertifierSharding::Unified.label(), "unified");
+        assert_eq!(
+            CertifierSharding::Sharded { max_groups: 8 }.label(),
+            "sharded(max_groups=8)"
+        );
+    }
+
+    #[test]
+    fn default_certification_is_unified() {
+        let c = ClusterConfig::paper_default();
+        assert_eq!(c.certifier_sharding, CertifierSharding::Unified);
+        let s = c.with_certifier_sharding(CertifierSharding::Sharded { max_groups: 4 });
+        assert_eq!(
+            s.certifier_sharding,
+            CertifierSharding::Sharded { max_groups: 4 }
+        );
+    }
+
+    #[test]
+    fn malb_config_only_for_malb() {
+        let c = ClusterConfig::paper_default();
+        assert!(c.malb_config().is_none());
+        let m = c.with_policy(PolicySpec::malb_sc());
+        let cfg = m.malb_config().unwrap();
+        assert_eq!(cfg.capacity_pages, 56_576);
+        assert!(!cfg.update_filtering);
+    }
+
+    #[test]
+    fn standalone_shrinks_cluster() {
+        let c = ClusterConfig::paper_default().standalone(10);
+        assert_eq!(c.replicas, 1);
+        assert_eq!(c.clients, 10);
+    }
+}

@@ -1,0 +1,70 @@
+//! Whole-system simulation of a Tashkent+ cluster.
+//!
+//! This crate assembles the pieces — clients, the load balancer
+//! (`tashkent-core`), replica nodes (`tashkent-replica`), and the certifier
+//! (`tashkent-certifier`) — into one deterministic discrete-event
+//! simulation, mirroring the paper's testbed of 16 replica machines, a
+//! replicated certifier, and a client farm on a switched 1 Gb/s LAN (§4.4).
+//!
+//! The crate is layered so that *what happens* is separate from *how it is
+//! driven*:
+//!
+//! * [`config`] — cluster configuration (replica count, RAM, policy, …);
+//! * [`metrics`] — throughput / response-time / disk-I/O accounting and the
+//!   [`metrics::RunResult`] every experiment produces;
+//! * [`events`] — the event vocabulary ([`events::Ev`]);
+//! * [`components`] — per-component handlers: [`components::ClusterNode`],
+//!   [`components::CertifierLink`], [`components::BalancerCtl`];
+//! * [`state`] — [`state::ClusterState`], the components plus cross-cutting
+//!   transaction/client/metrics state, with a single `handle` entry point;
+//! * [`driver`] — the event-loop strategies. [`driver::SequentialDriver`]
+//!   is the reference semantics; [`driver::ParallelDriver`] shards replica
+//!   work across threads inside conservative lookahead windows and merges
+//!   the event streams deterministically, so **both drivers produce
+//!   identical results for the same seed** — pick sequential for minimal
+//!   overhead on small runs, parallel for multi-replica sweeps on
+//!   multi-core hosts;
+//! * [`trace`] — deterministic run tracing: lifecycle span events,
+//!   utilization timelines, JSONL and Chrome `trace_event` exporters, with
+//!   the trace byte-equal across drivers;
+//! * [`world`] — thin glue binding state + queue + driver into one handle;
+//! * [`experiment`] — experiment descriptions, the [`experiment::Scenario`]
+//!   registry every entry point builds runs from, the runner, and
+//!   standalone calibration (§4.4's "85 % of peak" client sizing).
+
+pub mod components;
+pub mod config;
+pub mod detection;
+pub mod driver;
+pub mod events;
+pub mod experiment;
+pub mod failover;
+pub mod metrics;
+pub mod partial;
+pub mod placement;
+pub mod rebalance;
+pub mod state;
+pub mod sync;
+pub mod trace;
+pub mod world;
+
+pub use components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
+pub use config::{CertifierSharding, ClusterConfig, PlacementSpec, PolicySpec};
+pub use detection::{Detection, DetectionSchedule};
+pub use driver::{
+    Driver, DriverKind, DriverStats, ParallelDriver, RunError, SequentialDriver,
+    HANDOFF_HIST_BUCKETS, WINDOW_HIST_BUCKETS,
+};
+pub use events::{Ev, Footprint, NodeDemand, CONTROL_NODE};
+pub use experiment::{
+    calibrate_standalone, registry, run, run_scenario, scenario, Calibration, DynamicReconfig,
+    Experiment, Failover, FailoverSchedule, RubisAuctionMix, Scenario, ScenarioKnobs,
+    TpcwSteadyState,
+};
+pub use metrics::{FaultEvent, FaultKind, GroupSnapshot, Metrics, RunResult};
+pub use partial::PartialReplication;
+pub use placement::{PlacementMap, RelationGroup, ReplicationPlanner, WS_TICK_BYTES};
+pub use rebalance::Rebalance;
+pub use state::ClusterState;
+pub use trace::{TraceConfig, TraceData, TraceEvent, TraceSummary, Tracer};
+pub use world::World;

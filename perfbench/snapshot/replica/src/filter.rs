@@ -1,0 +1,102 @@
+//! Update filter: the proxy-side table list for update filtering (§3).
+//!
+//! When update filtering is enabled, the load balancer sends each proxy the
+//! list of tables for which the replica should receive remote writesets;
+//! the proxy forwards only those writesets to the database. Tables outside
+//! the list go out of date at this replica and can be dropped from its
+//! cache entirely.
+
+use std::collections::BTreeSet;
+
+use tashkent_storage::RelationId;
+
+/// The set of relations a replica keeps up to date.
+///
+/// `UpdateFilter::all()` is the pass-through default (no filtering, the base
+/// Tashkent behaviour).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum UpdateFilter {
+    /// Accept updates to every relation (filtering disabled).
+    #[default]
+    All,
+    /// Accept updates only to these relations.
+    Only(BTreeSet<RelationId>),
+}
+
+impl UpdateFilter {
+    /// Pass-through filter.
+    pub fn all() -> Self {
+        UpdateFilter::All
+    }
+
+    /// Filter accepting exactly `rels`.
+    pub fn only(rels: impl IntoIterator<Item = RelationId>) -> Self {
+        UpdateFilter::Only(rels.into_iter().collect())
+    }
+
+    /// Whether updates to `rel` are applied at this replica.
+    pub fn accepts(&self, rel: RelationId) -> bool {
+        match self {
+            UpdateFilter::All => true,
+            UpdateFilter::Only(set) => set.contains(&rel),
+        }
+    }
+
+    /// Whether filtering is active.
+    pub fn is_filtering(&self) -> bool {
+        matches!(self, UpdateFilter::Only(_))
+    }
+
+    /// Relations *not* accepted, out of the given universe — the tables the
+    /// replica may drop (§3). Empty for the pass-through filter.
+    pub fn dropped_from<'a>(
+        &'a self,
+        universe: impl IntoIterator<Item = RelationId> + 'a,
+    ) -> Vec<RelationId> {
+        match self {
+            UpdateFilter::All => Vec::new(),
+            UpdateFilter::Only(set) => universe.into_iter().filter(|r| !set.contains(r)).collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_accepts_everything() {
+        let f = UpdateFilter::all();
+        assert!(f.accepts(RelationId(0)));
+        assert!(f.accepts(RelationId(999)));
+        assert!(!f.is_filtering());
+    }
+
+    #[test]
+    fn only_accepts_members() {
+        let f = UpdateFilter::only([RelationId(1), RelationId(3)]);
+        assert!(f.accepts(RelationId(1)));
+        assert!(!f.accepts(RelationId(2)));
+        assert!(f.accepts(RelationId(3)));
+        assert!(f.is_filtering());
+    }
+
+    #[test]
+    fn dropped_from_lists_complement() {
+        let f = UpdateFilter::only([RelationId(1)]);
+        let dropped = f.dropped_from((0..4).map(RelationId));
+        assert_eq!(dropped, vec![RelationId(0), RelationId(2), RelationId(3)]);
+    }
+
+    #[test]
+    fn all_drops_nothing() {
+        let f = UpdateFilter::all();
+        assert!(f.dropped_from((0..4).map(RelationId)).is_empty());
+    }
+
+    #[test]
+    fn empty_only_filter_rejects_all() {
+        let f = UpdateFilter::only(std::iter::empty());
+        assert!(!f.accepts(RelationId(0)));
+    }
+}
